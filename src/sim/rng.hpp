@@ -12,7 +12,6 @@
 // bounded int, geometric) are provided directly with stable semantics.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <limits>
 
@@ -49,26 +48,6 @@ constexpr std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   return z ^ (z >> 31);
 }
 
-/// Uniform integer in [0, bound) drawn from `next()` (a callable returning
-/// uniform uint64s) by Lemire's multiply-shift method. Rng::below() and the
-/// SoA injector bank (which keeps xoshiro state in struct-of-arrays form)
-/// both route through this so their draw sequences stay byte-identical.
-template <typename Next>
-constexpr std::uint64_t below_with(Next&& next, std::uint64_t bound) noexcept {
-  std::uint64_t x = next();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  auto lo = static_cast<std::uint64_t>(m);
-  if (lo < bound) {
-    const std::uint64_t threshold = (0 - bound) % bound;
-    while (lo < threshold) {
-      x = next();
-      m = static_cast<__uint128_t>(x) * bound;
-      lo = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
-
 /// xoshiro256** PRNG. Satisfies UniformRandomBitGenerator.
 class Rng {
  public:
@@ -78,17 +57,6 @@ class Rng {
   explicit constexpr Rng(std::uint64_t seed = 0x5eed5eed5eedULL) noexcept {
     std::uint64_t sm = seed;
     for (auto& word : state_) word = splitmix64(sm);
-  }
-
-  /// Rebuilds a generator from exported state words (see state()).
-  explicit constexpr Rng(const std::array<std::uint64_t, 4>& st) noexcept {
-    for (int i = 0; i < 4; ++i) state_[i] = st[static_cast<std::size_t>(i)];
-  }
-
-  /// Exports the raw xoshiro state, e.g. into the SoA injector bank which
-  /// advances many generators in lock-step.
-  [[nodiscard]] constexpr std::array<std::uint64_t, 4> state() const noexcept {
-    return {state_[0], state_[1], state_[2], state_[3]};
   }
 
   static constexpr result_type min() noexcept { return 0; }
@@ -123,7 +91,19 @@ class Rng {
   /// Uniform integer in [0, bound). Precondition: bound > 0.
   /// Uses Lemire's multiply-shift rejection-free-in-the-common-case method.
   constexpr std::uint64_t below(std::uint64_t bound) noexcept {
-    return below_with([this] { return (*this)(); }, bound);
+    // Debiased multiply method.
+    std::uint64_t x = (*this)();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    auto lo = static_cast<std::uint64_t>(m);
+    if (lo < bound) {
+      const std::uint64_t threshold = (0 - bound) % bound;
+      while (lo < threshold) {
+        x = (*this)();
+        m = static_cast<__uint128_t>(x) * bound;
+        lo = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
   }
 
   /// Uniform integer in [lo, hi] inclusive. Precondition: lo <= hi.

@@ -68,8 +68,10 @@ struct FlowSpec {
   /// (arb::Kind::MultiLevel); 0 = lowest, 3 = highest. Ignored by SSVC.
   std::uint32_t legacy_priority = 0;
 
+  /// Midpoint of [len_min, len_max], rounded down. Never forms
+  /// len_min + len_max, which can overflow uint32.
   [[nodiscard]] std::uint32_t mean_len() const noexcept {
-    return (len_min + len_max) / 2;
+    return len_min + (len_max - len_min) / 2;
   }
 
   /// Throws ssq::ConfigError — flow specs come from workload files.

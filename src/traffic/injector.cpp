@@ -43,19 +43,6 @@ Injector::Injector(const FlowSpec& spec, Rng rng)
   }
 }
 
-bool Injector::bind_bank(BernoulliBank& bank) {
-  // Only strict-interior Bernoulli flows: the clamped thresholds consume no
-  // RNG per cycle and OnOff interleaves two trial streams, so both keep
-  // their private generator.
-  if (spec_.inject != InjectKind::Bernoulli || thr_inject_ == kBernoulliNever ||
-      thr_inject_ == kBernoulliAlways) {
-    return false;
-  }
-  slot_ = bank.add(rng_, thr_inject_, spec_.start_cycle);
-  bank_ = &bank;
-  return true;
-}
-
 Cycle Injector::next_active_cycle(Cycle now) const {
   switch (spec_.inject) {
     case InjectKind::Bernoulli:

@@ -372,22 +372,23 @@ TEST(Manifest, TinyShardCountsStayUniform) {
   }
 }
 
-TEST(Manifest, SimdAndEngineGridTokensParse) {
-  const GridPoint simd = parse_grid_point("simd");
-  EXPECT_EQ(simd.kernel, core::ArbKernel::Simd);
+TEST(Manifest, EngineGridTokensParse) {
   const GridPoint eng = parse_grid_point("engine=islip");
   EXPECT_EQ(eng.engine, arb::MatchKind::Islip);
-  const GridPoint both = parse_grid_point("simd+engine=qps+monitor");
-  EXPECT_EQ(both.kernel, core::ArbKernel::Simd);
+  const GridPoint both = parse_grid_point("scalar+engine=qps+monitor");
+  EXPECT_EQ(both.kernel, core::ArbKernel::Scalar);
   EXPECT_EQ(both.engine, arb::MatchKind::Qps);
   EXPECT_TRUE(both.opts.monitor);
   // Round-trips through the manifest identity like any other token.
   Manifest m = tiny_manifest();
   m.grid = {both};
   const Manifest back = parse_manifest(m.serialize());
-  EXPECT_EQ(back.grid.at(0).kernel, core::ArbKernel::Simd);
+  EXPECT_EQ(back.grid.at(0).kernel, core::ArbKernel::Scalar);
   EXPECT_EQ(back.grid.at(0).engine, arb::MatchKind::Qps);
   EXPECT_THROW(parse_grid_point("engine=warp"), ConfigError);
+  // The vectorized kernel is gone; its token is an unknown one now.
+  EXPECT_THROW(parse_grid_point("simd"), ConfigError);
+  EXPECT_THROW(parse_grid_point("simd+engine=qps"), ConfigError);
 }
 
 TEST(Manifest, UnitToGridAndScenarioMapping) {
@@ -479,7 +480,7 @@ TEST_F(CampaignTest, EngineGridPointsRunChainingScenariosClean) {
   // die with a ConfigError and drain the attempt budget into quarantine.
   Manifest m = tiny_manifest();
   m.scenarios = 30;  // enough draws that some scenarios enable chaining
-  m.grid = {parse_grid_point("simd+engine=qps")};
+  m.grid = {parse_grid_point("engine=qps")};
   const std::string d = dir() + "/engine";
   init_campaign_dir(d, m);
   RunnerHooks hooks;

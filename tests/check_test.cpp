@@ -183,6 +183,32 @@ TEST(Scenario, ParserRejectsGarbageWithContext) {
                ConfigError);
 }
 
+TEST(Scenario, HugePacketLengthsInstantiateWithoutAborting) {
+  // gb_mix_radix8 from the golden corpus, trimmed, with flow 0's packets
+  // at 2^31 flits: len_min + len_max overflows uint32. A mean length that
+  // wrapped to 0 would make the injector's per-cycle probability infinite
+  // and trip its precondition (an abort), not a ConfigError.
+  std::istringstream in(
+      "scenario name=huge_len seed=202 cycles=2500\n"
+      "radix 8\n"
+      "ssvc level_bits=3 lsb_bits=5 vtick_bits=8 vtick_shift=1 "
+      "policy=subtract_real_clock\n"
+      "switch policing=stall allowance=32 chaining=0 arb_cycles=1\n"
+      "buffers be=16 gb=16 gl=8\n"
+      "flow src=0 dst=2 class=gb rate=0.3 len_min=2147483648 "
+      "len_max=2147483648 inject=bernoulli load=0.35\n"
+      "flow src=1 dst=2 class=gb rate=0.2 len_min=1 len_max=4 "
+      "inject=bernoulli load=0.25\n"
+      "flow src=3 dst=2 class=be len_min=1 len_max=4 inject=bernoulli "
+      "load=0.5\n");
+  const Scenario s = parse_scenario(in, "huge_len");
+  const ScenarioRun rig = instantiate(s);
+  EXPECT_EQ(rig.sim->workload().flow(0).mean_len(), 2147483648u);
+  const RunResult r = run_scenario(s);
+  EXPECT_FALSE(r.failed) << r.kind << ": " << r.detail;
+  EXPECT_GT(r.grants_checked, 0u);
+}
+
 TEST(Reference, LrgStartsInPortOrderAndMovesToBack) {
   core::SsvcParams params;
   ReferenceOutput ref(4, params, core::OutputAllocation::none(4),

@@ -2,14 +2,12 @@
 // workload-to-allocation derivation, crosspoint exclusivity.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "sim/error.hpp"
 #include "sim/rng.hpp"
-#include "traffic/bernoulli_bank.hpp"
 #include "traffic/flow.hpp"
 #include "traffic/injector.hpp"
 #include "traffic/patterns.hpp"
@@ -385,9 +383,21 @@ TEST(FlowSpecErrorTest, GbWithoutReservationThrows) {
   expect_config_error([&] { f.validate(4); }, "reserve");
 }
 
-// ----------------------------------------------------- BernoulliBank ----
+TEST(FlowSpecTest, MeanLenDoesNotOverflow) {
+  FlowSpec f;
+  f.len_min = 3;
+  f.len_max = 8;
+  EXPECT_EQ(f.mean_len(), 5u);  // rounds down, as (3 + 8) / 2 does
+  f.len_min = f.len_max = 2147483648u;
+  EXPECT_EQ(f.mean_len(), 2147483648u);
+  f.len_min = 1;
+  f.len_max = 4294967295u;
+  EXPECT_EQ(f.mean_len(), 2147483648u);
+}
 
-TEST(BernoulliBankTest, ThresholdTrialMatchesDoubleBernoulli) {
+// ------------------------------------------------- Bernoulli threshold ----
+
+TEST(BernoulliThresholdTest, ThresholdTrialMatchesDoubleBernoulli) {
   // The integer trial `(x >> 11) < ceil(p * 2^53)` must equal the double
   // comparison `uniform() < p` on the SAME draw for every p: uniform() is
   // exactly (x >> 11) * 2^-53 and both sides of the scaled comparison are
@@ -405,42 +415,6 @@ TEST(BernoulliBankTest, ThresholdTrialMatchesDoubleBernoulli) {
   EXPECT_EQ(bernoulli_threshold(0.0), kBernoulliNever);
   EXPECT_EQ(bernoulli_threshold(-1.0), kBernoulliNever);
   EXPECT_EQ(bernoulli_threshold(1.0), kBernoulliAlways);
-}
-
-TEST(BernoulliBankTest, BankSlotsMatchPrivateRngsWithStaggeredStarts) {
-  // Each bank slot must reproduce its donor Rng's draw stream exactly:
-  // fire(slot) after roll(now) equals the donor's next trial, draw(slot)
-  // equals the donor's next raw draw — including slots whose start cycle
-  // hasn't arrived yet (they must consume NO draws while parked).
-  const std::uint64_t thr = bernoulli_threshold(0.37);
-  const std::array<Cycle, 4> starts = {0, 0, 100, 250};
-  BernoulliBank bank;
-  std::vector<Rng> refs;
-  std::vector<std::size_t> slots;
-  for (std::size_t k = 0; k < starts.size(); ++k) {
-    const Rng donor(0x1000 + k);
-    refs.push_back(donor);
-    slots.push_back(bank.add(donor, thr, starts[k]));
-  }
-  Rng pick(7);
-  for (Cycle now = 0; now < 600; ++now) {
-    bank.roll(now);
-    for (std::size_t k = 0; k < starts.size(); ++k) {
-      if (now < starts[k]) {
-        ASSERT_FALSE(bank.fire(slots[k])) << "slot " << k << " cycle " << now;
-        continue;
-      }
-      const bool expect_fire = (refs[k]() >> 11) < thr;
-      ASSERT_EQ(bank.fire(slots[k]), expect_fire)
-          << "slot " << k << " cycle " << now;
-      // Interleave extra draws (packet-length style) on a random slot to
-      // prove per-slot streams stay independent of bank order.
-      if (expect_fire && pick.bernoulli(0.5)) {
-        ASSERT_EQ(bank.draw(slots[k]), refs[k]())
-            << "slot " << k << " cycle " << now;
-      }
-    }
-  }
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 //
 // Exit codes: 0 complete (quarantines allowed), 1 complete with failed
 // scenarios, 2 bad usage/config, 3 interrupted or gave up (resumable).
-#include <cstdlib>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -22,12 +21,15 @@
 
 #include "campaign/manifest.hpp"
 #include "campaign/service.hpp"
+#include "cli.hpp"
 #include "exec/thread_pool.hpp"
 #include "sim/error.hpp"
 
 namespace {
 
 using namespace ssq;
+using cli::opt_value;
+using cli::parse_uint;
 
 constexpr const char* kHelp = R"(usage: ssq_campaign <command> [options]
 
@@ -48,7 +50,7 @@ Manifest (with --new; immutable afterwards):
                           of claiming, checkpointing and resume
   --grid=A,B,...          checking configurations; each label combines
                           tokens with '+': default, monitor, no-circuit,
-                          no-state, scalar, simd, noff (fully stepped — no
+                          no-state, scalar, noff (fully stepped — no
                           idle-cycle fast-forward), engine=<islip|qps|swqps|
                           ssvc> (default "default")
   --max-attempts=N        attempts before a crashing/hanging scenario is
@@ -73,24 +75,6 @@ A campaign directory is self-contained and shareable: point any number of
 ssq_campaign processes (or hosts via a shared filesystem) at the same DIR
 and they cooperate through shard locks and checkpoints.
 )";
-
-std::optional<std::string> opt_value(std::string_view arg,
-                                     std::string_view key) {
-  if (arg.substr(0, key.size()) != key) return std::nullopt;
-  if (arg.size() == key.size()) return std::string{};
-  if (arg[key.size()] != '=') return std::nullopt;
-  return std::string(arg.substr(key.size() + 1));
-}
-
-std::uint64_t parse_u64(const std::string& value, std::string_view option) {
-  char* end = nullptr;
-  const std::uint64_t x = std::strtoull(value.c_str(), &end, 10);
-  if (value.empty() || end != value.c_str() + value.size()) {
-    throw ConfigError("invalid value '" + value + "' for " +
-                      std::string(option) + " (expected an unsigned integer)");
-  }
-  return x;
-}
 
 std::string self_exe_path() {
   char buf[PATH_MAX];
@@ -128,46 +112,45 @@ int main(int argc, char** argv) {
       } else if (auto v5 = opt_value(arg, "--worker")) {
         worker_dir = *v5;
       } else if (auto v6 = opt_value(arg, "--worker-id")) {
-        worker_id = static_cast<unsigned>(parse_u64(*v6, "--worker-id"));
+        worker_id = parse_uint<unsigned>(*v6, "--worker-id");
       } else if (auto v7 = opt_value(arg, "--scenarios")) {
-        m.scenarios = parse_u64(*v7, "--scenarios");
+        m.scenarios = parse_uint(*v7, "--scenarios");
         manifest_flags = true;
       } else if (auto v8 = opt_value(arg, "--seed")) {
-        m.base_seed = parse_u64(*v8, "--seed");
+        m.base_seed = parse_uint(*v8, "--seed");
         manifest_flags = true;
       } else if (auto v9 = opt_value(arg, "--shards")) {
-        m.shards = parse_u64(*v9, "--shards");
+        m.shards = parse_uint(*v9, "--shards");
         manifest_flags = true;
       } else if (auto v10 = opt_value(arg, "--grid")) {
         grid_csv = *v10;
         manifest_flags = true;
       } else if (auto v11 = opt_value(arg, "--max-attempts")) {
-        m.max_attempts =
-            static_cast<std::uint32_t>(parse_u64(*v11, "--max-attempts"));
+        m.max_attempts = parse_uint<std::uint32_t>(*v11, "--max-attempts");
         manifest_flags = true;
       } else if (auto v12 = opt_value(arg, "--scenario-timeout-ms")) {
-        m.scenario_timeout_ms = parse_u64(*v12, "--scenario-timeout-ms");
+        m.scenario_timeout_ms = parse_uint(*v12, "--scenario-timeout-ms");
         manifest_flags = true;
       } else if (auto v13 = opt_value(arg, "--throttle-ms")) {
-        m.throttle_ms = parse_u64(*v13, "--throttle-ms");
+        m.throttle_ms = parse_uint(*v13, "--throttle-ms");
         manifest_flags = true;
       } else if (auto v14 = opt_value(arg, "--plant-hang")) {
         m.planted.push_back({campaign::Plant::Kind::Hang,
-                             parse_u64(*v14, "--plant-hang")});
+                             parse_uint(*v14, "--plant-hang")});
         manifest_flags = true;
       } else if (auto v15 = opt_value(arg, "--plant-crash")) {
         m.planted.push_back({campaign::Plant::Kind::Crash,
-                             parse_u64(*v15, "--plant-crash")});
+                             parse_uint(*v15, "--plant-crash")});
         manifest_flags = true;
       } else if (auto v16 = opt_value(arg, "--workers")) {
-        opts.workers = static_cast<unsigned>(parse_u64(*v16, "--workers"));
+        opts.workers = parse_uint<unsigned>(*v16, "--workers");
         if (opts.workers == 0) {
           opts.workers = exec::ThreadPool::hardware_threads();
         }
       } else if (auto v17 = opt_value(arg, "--max-restarts")) {
-        opts.max_restarts = parse_u64(*v17, "--max-restarts");
+        opts.max_restarts = parse_uint(*v17, "--max-restarts");
       } else if (auto v18 = opt_value(arg, "--backoff-ms")) {
-        opts.backoff_base_ms = parse_u64(*v18, "--backoff-ms");
+        opts.backoff_base_ms = parse_uint(*v18, "--backoff-ms");
         opts.backoff_cap_ms = opts.backoff_base_ms * 25;
       } else if (arg == "--quiet") {
         opts.quiet = true;

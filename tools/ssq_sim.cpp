@@ -5,7 +5,6 @@
 // metrics and JSON-summary outputs.
 #include <sys/resource.h>
 
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -16,9 +15,9 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <system_error>
 #include <vector>
 
+#include "cli.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
 #include "fault/scrubber.hpp"
@@ -37,6 +36,8 @@
 namespace {
 
 using namespace ssq;
+using cli::opt_value;
+using cli::parse_uint;
 
 constexpr const char* kHelp = R"(usage: ssq_sim <workload-file> [options]
 
@@ -52,8 +53,8 @@ Arbitration:
   --level-bits=K --lsb-bits=K --vtick-bits=K --vtick-shift=K
                           SSVC counter geometry (defaults 4/5/8/2)
   --arb-cycles=N          arbitration cycles per grant (default 1)
-  --kernel=bitsliced | scalar | simd
-                          SSVC arbitration kernel (default bitsliced; all
+  --kernel=bitsliced | scalar
+                          SSVC arbitration kernel (default bitsliced; both
                           produce byte-identical grants — see
                           docs/PERFORMANCE.md)
   --no-fast-forward       disable idle-cycle fast-forward (grants and
@@ -116,32 +117,6 @@ Fault injection and recovery (see docs/FAULTS.md; SSVC mode only):
                "list)\n",
                argv0);
   std::exit(2);
-}
-
-/// Returns the value of `--key=value`, or nullopt if `arg` is a different
-/// option.
-std::optional<std::string> opt_value(std::string_view arg,
-                                     std::string_view key) {
-  if (arg.substr(0, key.size()) != key) return std::nullopt;
-  if (arg.size() == key.size()) return std::string{};
-  if (arg[key.size()] != '=') return std::nullopt;
-  return std::string(arg.substr(key.size() + 1));
-}
-
-/// Strict unsigned-integer parse: the whole value must be digits. atoi-style
-/// silent truncation ("--warmup=abc" -> 0) is exactly what this forbids.
-template <typename T>
-T parse_uint(const std::string& value, std::string_view option) {
-  T out{};
-  const char* first = value.data();
-  const char* last = first + value.size();
-  const auto [ptr, ec] = std::from_chars(first, last, out);
-  if (value.empty() || ec != std::errc{} || ptr != last) {
-    throw ssq::ConfigError("invalid value '" + value + "' for " +
-                           std::string(option) +
-                           " (expected an unsigned integer)");
-  }
-  return out;
 }
 
 /// Strict rate parse into [0, 1].
@@ -349,10 +324,8 @@ int run(int argc, char** argv) {
         config.kernel = core::ArbKernel::Bitsliced;
       } else if (*vk == "scalar") {
         config.kernel = core::ArbKernel::Scalar;
-      } else if (*vk == "simd") {
-        config.kernel = core::ArbKernel::Simd;
       } else {
-        throw ssq::ConfigError("--kernel expects bitsliced, scalar or simd");
+        throw ssq::ConfigError("--kernel expects bitsliced or scalar");
       }
     } else if (arg == "--no-fast-forward") {
       config.fast_forward = false;
